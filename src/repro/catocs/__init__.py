@@ -58,7 +58,7 @@ from repro.catocs.stack import (
     resolve_spec,
     set_discipline_override,
 )
-from repro.catocs.transport import DedupRepairLayer, GroupTransport, StabilityLayer
+from repro.catocs.transport import DedupRepairLayer, StabilityLayer
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.trace import EventTrace
@@ -69,7 +69,6 @@ __all__ = [
     "DeliveryRecord",
     "GroupInstrumentation",
     "GroupMember",
-    "GroupTransport",
     "HeartbeatDetector",
     "ViewManager",
     "ViewChangeRecord",

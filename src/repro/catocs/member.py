@@ -47,7 +47,6 @@ from repro.catocs.messages import (
     ViewInstall,
 )
 from repro.catocs.stack import ProtocolStack, discipline_override, resolve_spec
-from repro.catocs.transport import GroupTransport
 from repro.ordering.causal_graph import CausalGraph
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
@@ -55,6 +54,18 @@ from repro.sim.process import Process
 from repro.sim.trace import EventTrace
 
 DeliverCallback = Callable[[str, Any, DataMessage], None]
+
+#: Transport-layer counters every member reports, whatever its stack.
+TRANSPORT_METRICS = (
+    "buffered",
+    "buffered_bytes",
+    "peak_buffered",
+    "peak_buffered_bytes",
+    "retransmissions",
+    "naks_sent",
+    "gossip_sent",
+    "duplicates",
+)
 
 #: Legacy aliases for the control families, kept for external callers; the
 #: wire-message marker bases are what dispatch actually routes on.
@@ -170,9 +181,9 @@ class GroupMember(Process):
         self.stack = ProtocolStack(self, resolve_spec(spec))
         self.ordering = self.stack.ordering
         self.ordering_name = self.ordering.name
-        self.transport = GroupTransport(self, self.stack)
-        if instrumentation is not None:
-            self.transport.stable_hooks.append(instrumentation.on_stable)
+        stability = self.stack.layer("stability")
+        if instrumentation is not None and stability is not None:
+            stability.stable_hooks.append(instrumentation.on_stable)
 
         self._next_seq = 0
         self.delivered: List[DeliveryRecord] = []
@@ -275,7 +286,7 @@ class GroupMember(Process):
         if self.trace is not None:
             self.trace.record(self.sim.now, self.pid, "send", _label(payload), msg.msg_id)
         self.multicasts_sent += 1
-        self.transport.broadcast(msg)
+        self.stack.broadcast(msg)
         for ready in self.ordering.accept_local(msg):
             self._deliver(ready)
         self._pump()
@@ -300,7 +311,10 @@ class GroupMember(Process):
         attached when *it* was sent)."""
         assert msg.vc is not None
         copies: List[DataMessage] = []
-        for buffered in self.transport.buffer.values():
+        stability = self.stack.layer("stability")
+        if stability is None:
+            return copies
+        for buffered in stability.buffer.values():
             if buffered.msg_id == msg.msg_id:
                 continue
             if buffered.seq <= msg.vc[buffered.sender]:
@@ -348,7 +362,7 @@ class GroupMember(Process):
             self.membership.handle(self, src, payload)
 
     def _ingest_data(self, src: str, msg: DataMessage) -> None:
-        fresh = self.transport.on_data(src, msg)
+        fresh = self.stack.receive_data(src, msg)
         if fresh is None:
             return
         if self.trace is not None:
@@ -385,7 +399,7 @@ class GroupMember(Process):
 
     def on_view_installed(self, install: Any) -> None:
         """Called after a new view is adopted; refresh transport membership."""
-        self.transport.update_membership(self.view_members)
+        self.stack.membership_changed(self.view_members)
 
     def poke_ordering(self) -> None:
         """Re-examine the ordering delay queue (after forgiveness etc.)."""
@@ -436,7 +450,15 @@ class GroupMember(Process):
             "total_hold_time": self.ordering.total_hold_time(),
             "suppressed_time": self.total_suppressed_time,
         }
-        data.update(self.transport.metrics())
+        # The transport layers' counters under fixed keys, zero for a layer
+        # the stack lacks (the hybrid stack has no stability layer).
+        counters: Dict[str, Any] = {}
+        for name in ("stability", "dedup"):
+            layer = self.stack.layer(name)
+            if layer is not None:
+                counters.update(layer.layer_metrics())
+        for key in TRANSPORT_METRICS:
+            data[key] = counters.get(key, 0)
         return data
 
 

@@ -135,11 +135,9 @@ class ViewManager:
         self._joining = False
         # Pretend the flushed history was received: no NAK storm for old
         # traffic, and causal delivery starts at the view's frontier.
-        for pid, count in install.final_counts.items():
-            current = member.transport.contiguous.get(pid, 0)
-            member.transport.contiguous[pid] = max(current, count)
-            if count > member.transport._max_seen.get(pid, 0):
-                member.transport._max_seen[pid] = count
+        dedup = member.stack.layer("dedup")
+        if dedup is not None:
+            dedup.fast_forward(install.final_counts)
         member.ordering.on_join(install.ordering_state, install.final_counts)
 
     # -- voluntary departure --------------------------------------------------------
@@ -192,11 +190,12 @@ class ViewManager:
             return
         member.suppress_sends()
         departed = set(member.view_members) - set(request.proposed_members)
+        dedup = member.stack.layer("dedup")
         ack = FlushAck(
             group=member.group,
             sender=member.pid,
             new_view_id=request.new_view_id,
-            received_counts=dict(member.transport.contiguous),
+            received_counts=dict(dedup.contiguous) if dedup is not None else {},
             ordering_state=member.ordering.flush_state(departed),
         )
         if request.coordinator == member.pid:

@@ -619,7 +619,7 @@ class TotalAgreedOrdering(OrderingLayer):
 
     def _answer_proposal_request(self, src: str, request: ProposalRequest) -> List[DataMessage]:
         msg = request.msg
-        fresh = self.member.transport.on_data(src, msg)
+        fresh = self.member.stack.receive_data(src, msg)
         if fresh is not None:
             # We never saw the data; process it normally (which proposes).
             return self.insert(fresh)

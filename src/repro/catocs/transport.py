@@ -30,10 +30,9 @@ points the old monolithic transport did.  A stack may omit the stability
 layer (the hybrid-buffering causal stack does); repair then falls back to
 whatever retention the remaining layers expose via ``repair_lookup``.
 
-:class:`GroupTransport` is the façade the rest of the codebase (membership,
-experiments, tests) talks to; it preserves the monolith's attribute surface
-(``contiguous``, ``matrix``, ``buffer``, counters, ``broadcast`` ...) while
-delegating to the stack's layers.
+Callers reach the layers through the member's stack, e.g.
+``member.stack.layer("stability")``, and must allow for ``None``: a
+stack may omit either layer.
 
 Note what the transport does **not** give: durability.  A sender that
 crashes before its message reaches anyone loses the message even though it
@@ -46,7 +45,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.catocs.messages import AckGossip, DataMessage, MsgId, Nak
-from repro.catocs.stack import ProtocolLayer, ProtocolStack, register_layer
+from repro.catocs.stack import ProtocolLayer, register_layer
 from repro.ordering.matrix import MatrixClock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -135,6 +134,17 @@ class DedupRepairLayer(ProtocolLayer):
                 self.contiguous[pid] = 0
             if pid not in self._max_seen:
                 self._max_seen[pid] = 0
+
+    def fast_forward(self, counts: Dict[str, int]) -> None:
+        """Count every sender's first ``counts[pid]`` messages as received.
+
+        A joiner adopting a view's flushed history calls this, so it never
+        NAKs for traffic from before it joined.
+        """
+        for pid, count in counts.items():
+            self.contiguous[pid] = max(self.contiguous.get(pid, 0), count)
+            if count > self._max_seen.get(pid, 0):
+                self._max_seen[pid] = count
 
     # -- receive-state bookkeeping ---------------------------------------------
 
@@ -392,120 +402,3 @@ class StabilityLayer(ProtocolLayer):
 register_layer("dedup", DedupRepairLayer, kind="transport")
 register_layer("stability", StabilityLayer, kind="transport")
 
-
-class GroupTransport:
-    """Façade over the stack's transport layers.
-
-    Preserves the attribute surface of the pre-refactor monolithic
-    transport — membership, experiments, and tests read ``contiguous``,
-    ``matrix``, ``buffer`` and the counters, and monkeypatch ``broadcast``
-    — while the actual machinery lives in the registered layers.  Stacks
-    without a stability layer get inert defaults (empty buffer/matrix-less
-    metrics) so the surface stays total.
-    """
-
-    def __init__(self, member: "GroupMember", stack: ProtocolStack) -> None:
-        self.member = member
-        self._stack = stack
-        self._dedup: Optional[DedupRepairLayer] = stack.layer("dedup")
-        self._stability: Optional[StabilityLayer] = stack.layer("stability")
-        #: stable-notification hooks when no stability layer exists (inert)
-        self._orphan_hooks: List[Callable[[MsgId], None]] = []
-
-    # -- the monolith's verbs -----------------------------------------------------
-
-    def broadcast(self, msg: DataMessage) -> None:
-        """Send a data message to all other view members; buffer for repair."""
-        self._stack.broadcast(msg)
-
-    def on_data(self, src: str, msg: DataMessage) -> Optional[DataMessage]:
-        """Run a data message up the transport layers; None for duplicates."""
-        return self._stack.receive_data(src, msg)
-
-    def on_control(self, src: str, payload: Any) -> bool:
-        """Handle transport control traffic.  Returns True if consumed."""
-        return self._stack.on_control(src, payload) is not None
-
-    def update_membership(self, members: Sequence[str]) -> None:
-        self._stack.membership_changed(members)
-
-    # -- the monolith's state surface ----------------------------------------------
-
-    @property
-    def nak_delay(self) -> float:
-        return self._dedup.nak_delay if self._dedup else 0.0
-
-    @property
-    def ack_period(self) -> float:
-        return self._stability.ack_period if self._stability else 0.0
-
-    @property
-    def contiguous(self) -> Dict[str, int]:
-        return self._dedup.contiguous if self._dedup else {}
-
-    @property
-    def _max_seen(self) -> Dict[str, int]:
-        return self._dedup._max_seen if self._dedup else {}
-
-    @property
-    def _ahead(self) -> Dict[str, Dict[int, DataMessage]]:
-        return self._dedup._ahead if self._dedup else {}
-
-    @property
-    def _nak_pending(self) -> Set[MsgId]:
-        return self._dedup._nak_pending if self._dedup else set()
-
-    @property
-    def matrix(self) -> Optional[MatrixClock]:
-        return self._stability.matrix if self._stability else None
-
-    @property
-    def buffer(self) -> Dict[MsgId, DataMessage]:
-        return self._stability.buffer if self._stability else {}
-
-    @property
-    def stable_hooks(self) -> List[Callable[[MsgId], None]]:
-        if self._stability is not None:
-            return self._stability.stable_hooks
-        return self._orphan_hooks
-
-    @property
-    def retransmissions(self) -> int:
-        return self._dedup.retransmissions if self._dedup else 0
-
-    @property
-    def naks_sent(self) -> int:
-        return self._dedup.naks_sent if self._dedup else 0
-
-    @property
-    def duplicates(self) -> int:
-        return self._dedup.duplicates if self._dedup else 0
-
-    @property
-    def peak_buffered(self) -> int:
-        return self._stability.peak_buffered if self._stability else 0
-
-    @property
-    def peak_buffered_bytes(self) -> int:
-        return self._stability.peak_buffered_bytes if self._stability else 0
-
-    @property
-    def gossip_sent(self) -> int:
-        return self._stability.gossip_sent if self._stability else 0
-
-    # -- metrics ---------------------------------------------------------------------
-
-    def buffered_bytes(self) -> int:
-        return self._stability.buffered_bytes() if self._stability else 0
-
-    def metrics(self) -> Dict[str, int]:
-        return {
-            "buffered": len(self.buffer),
-            "buffered_bytes": self.buffered_bytes(),
-            "peak_buffered": self.peak_buffered,
-            "peak_buffered_bytes": self.peak_buffered_bytes,
-            "retransmissions": self.retransmissions,
-            "naks_sent": self.naks_sent,
-            "gossip_sent": self.gossip_sent,
-            "duplicates": self.duplicates,
-        }

@@ -34,9 +34,11 @@ def _run(seed: int, ack_period: float, size: int, burst: int) -> Dict[str, float
 
     # Sample total buffered messages over time (the occupancy integral).
     samples = []
+    layers = [m.stack.layer("stability") for m in members.values()]
+    stability = [s for s in layers if s is not None]
 
     def probe() -> None:
-        total = sum(len(m.transport.buffer) for m in members.values())
+        total = sum(len(s.buffer) for s in stability)
         samples.append((sim.now, total))
         if sim.now < 4000.0:
             sim.call_later(5.0, probe)
@@ -49,7 +51,7 @@ def _run(seed: int, ack_period: float, size: int, burst: int) -> Dict[str, float
         float("inf"),
     )
     integral = sum(total * 5.0 for _, total in samples)
-    gossip = sum(m.transport.gossip_sent for m in members.values()) * (size - 1)
+    gossip = sum(s.gossip_sent for s in stability) * (size - 1)
     return {
         "gossip_messages": gossip,
         "buffer_time_integral": integral,

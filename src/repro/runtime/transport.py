@@ -1,14 +1,12 @@
-"""The transport seam: one structural protocol, three backends.
+"""The transport seam: one structural protocol, two backends.
 
 The paper's claim is that ordering semantics live at the endpoints, not in
 the communication substrate.  Our code proves it by running the *same*
-:class:`repro.catocs.stack.ProtocolStack` over three interchangeable
+:class:`repro.catocs.stack.ProtocolStack` over two interchangeable
 transports:
 
 - :class:`repro.sim.network.Network` — the discrete-event simulator network
   (virtual time, bit-reproducible, zero-copy payload delivery);
-- :class:`repro.runtime.asyncio_rt.AsyncioNetwork` — wall-clock timers on an
-  asyncio event loop, still in-process and zero-copy;
 - :class:`repro.runtime.udp.UdpNetwork` — real UDP datagrams over loopback
   sockets, with every payload run through the versioned wire codec
   (:mod:`repro.runtime.codec`).

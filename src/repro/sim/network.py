@@ -21,10 +21,9 @@ delays referenced to pre-partition ghosts.
 
 This class is also the reference implementation of the transport seam
 (:class:`repro.runtime.transport.Transport`, a structural protocol — this
-module never imports the runtime): ``AsyncioNetwork`` and ``UdpNetwork``
-expose the same attach/send/link-model/partition surface, so the protocol
-stacks run unchanged on a wall-clock event loop or over real UDP loopback
-sockets (see docs/RUNTIME.md).
+module never imports the runtime): ``UdpNetwork`` exposes the same
+attach/send/link-model/partition surface, so the protocol stacks run
+unchanged over real UDP loopback sockets (see docs/RUNTIME.md).
 """
 
 from __future__ import annotations

@@ -31,22 +31,24 @@ def test_committed_baseline_is_tight():
 
 
 def test_new_kernel_modules_are_analyzed_not_baselined():
-    """The scheduler rework's modules must sit inside the analysis scope:
-    ``repro.sim.wheel`` under the PUR001 purity ban (it *is* the kernel hot
-    path), ``repro.bench.profile`` in the project at all — and must be
-    clean there, not excused via baseline entries."""
+    """The kernel must sit inside the analysis scope: ``repro.sim.kernel``
+    under the PUR001 purity ban (it *is* the hot path), with its heap
+    methods on the PERF manifest — and must be clean there, not excused via
+    baseline entries."""
+    from repro.analysis.rules.perf import HOT_FUNCTIONS
     from repro.analysis.rules.purity import _in_pure_package
 
     result = run_analysis(root=REPO_ROOT)
     modules = {m.module for m in result.project.src_modules}
-    assert "repro.sim.wheel" in modules
-    assert "repro.bench.profile" in modules
-    assert _in_pure_package("repro.sim.wheel")
+    assert "repro.sim.kernel" in modules
+    assert _in_pure_package("repro.sim.kernel")
+    assert {"Simulator._cancel", "Simulator._pop_next", "Simulator._peek_time",
+            "Simulator._drain"} <= HOT_FUNCTIONS["repro.sim.kernel"]
     known = baseline.load(REPO_ROOT / "analysis-baseline.json")
     fresh, grandfathered = baseline.apply(result.findings, known)
     touched = [
         f for f in list(fresh) + list(grandfathered)
-        if "sim/wheel.py" in str(f.path) or "bench/profile.py" in str(f.path)
+        if "sim/kernel.py" in str(f.path)
     ]
     assert touched == [], "\n".join(f.render() for f in touched)
 

@@ -11,11 +11,12 @@ link jitter, loss) and the properties assert the CATOCS contracts:
 """
 
 from typing import Dict
+from unittest.mock import patch
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.catocs import build_group
+from repro.catocs import ProtocolStack, build_group
 from repro.catocs.messages import DataMessage
 from repro.ordering.happens_before import is_causal_delivery_order
 from repro.sim import LinkModel, Network, Simulator
@@ -46,18 +47,12 @@ def run_workload(ordering: str, schedule, seed: int, drop: float,
                           nak_delay=8.0, ack_period=25.0,
                           piggyback_causal=piggyback)
     vc_of: Dict[object, object] = {}
+    original = ProtocolStack.broadcast
 
-    def capture(member):
-        original = member.transport.broadcast
-
-        def wrapper(msg: DataMessage):
-            original(msg)
-            if msg.vc is not None:
-                vc_of[msg.msg_id] = msg.vc.copy()
-        member.transport.broadcast = wrapper
-
-    for member in members.values():
-        capture(member)
+    def capture(stack, msg: DataMessage):
+        original(stack, msg)
+        if msg.vc is not None:
+            vc_of[msg.msg_id] = msg.vc.copy()
 
     reactor = members[pids[0]]
 
@@ -73,8 +68,9 @@ def run_workload(ordering: str, schedule, seed: int, drop: float,
                     {"kind": "tick", "uid": uid, "react": react})
     # Horizon: generous multiple of the worst repair chain (NAK retries
     # double from 8), kept small because periodic gossip timers otherwise
-    # dominate the run time.
-    sim.run(until=2_500)
+    # dominate the run time.  Every multicast happens inside the run.
+    with patch.object(ProtocolStack, "broadcast", capture):
+        sim.run(until=2_500)
     return members, vc_of
 
 

@@ -73,8 +73,8 @@ def test_retention_resend_recovers_lost_final_message():
     assert [r.payload["n"] for r in members["q"].delivered] == [1, 2]
     assert members["p"].ordering.retention_resends >= 1
     # The hybrid stack really has no stability machinery.
-    assert members["q"].transport.gossip_sent == 0
-    assert members["q"].transport.matrix is None
+    assert members["q"].stack.layer("stability") is None
+    assert members["q"].metrics()["gossip_sent"] == 0
 
 
 def test_hybrid_layer_metrics_shape():

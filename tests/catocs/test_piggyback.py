@@ -1,6 +1,6 @@
 """Tests for the footnote-4 piggybacked causal variant."""
 
-from repro.catocs import build_group
+from repro.catocs import ProtocolStack, build_group
 from repro.sim import LinkModel, Network, Simulator
 
 
@@ -13,16 +13,17 @@ def build(seed=0, drop=0.0, piggyback=True):
     return sim, net, members
 
 
-def test_attachments_carry_causal_predecessors():
+def test_attachments_carry_causal_predecessors(monkeypatch):
     sim, net, members = build()
     captured = []
-    original = members["a"].transport.broadcast
+    original = ProtocolStack.broadcast
 
-    def sniff(msg):
-        captured.append(msg)
-        original(msg)
+    def sniff(stack, msg):
+        if stack.member.pid == "a":
+            captured.append(msg)
+        original(stack, msg)
 
-    members["a"].transport.broadcast = sniff
+    monkeypatch.setattr(ProtocolStack, "broadcast", sniff)
     # a sends m1 then m2 while m1 is still unstable: m2 carries a copy of m1
     sim.call_at(1.0, members["a"].multicast, "m1")
     sim.call_at(2.0, members["a"].multicast, "m2")

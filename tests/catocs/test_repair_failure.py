@@ -38,8 +38,8 @@ def test_nak_repair_rotates_to_peer_after_sender_crash():
     assert [r.payload for r in members["q"].delivered] == [{"uid": "only"}]
     # r learned of (p,1) from q's gossip/ack vector and repaired it from q.
     assert [r.payload for r in members["r"].delivered] == [{"uid": "only"}]
-    assert members["q"].transport.retransmissions >= 1
-    assert members["r"].transport.naks_sent >= 1
+    assert members["q"].stack.layer("dedup").retransmissions >= 1
+    assert members["r"].stack.layer("dedup").naks_sent >= 1
 
 
 def test_partition_heal_repairs_missed_middle_exactly_once():
@@ -66,8 +66,9 @@ def test_partition_heal_repairs_missed_middle_exactly_once():
         delivered = [r.payload["n"] for r in member.delivered]
         assert delivered == [1, 2, 3, 4, 5, 6], (member.pid, delivered)
     # The middle really was lost and repaired, not delivered in-flight.
-    assert members["q"].transport.naks_sent >= 1
-    retransmissions = sum(m.transport.retransmissions for m in members.values())
+    assert members["q"].stack.layer("dedup").naks_sent >= 1
+    retransmissions = sum(m.stack.layer("dedup").retransmissions
+                          for m in members.values())
     assert retransmissions >= 1
     # Dedup absorbed any duplicate copies instead of re-delivering.
     assert all(
@@ -104,8 +105,9 @@ def test_hybrid_stack_serves_nak_from_sender_retention():
     sim.run(until=400)
 
     assert [r.payload["n"] for r in members["q"].delivered] == [1, 2]
-    assert members["q"].transport.naks_sent >= 1
-    assert members["p"].transport.retransmissions >= 1
-    # No stability layer in this stack: the facade reports inert defaults.
-    assert members["p"].transport.matrix is None
-    assert members["p"].transport.buffer == {}
+    assert members["q"].stack.layer("dedup").naks_sent >= 1
+    assert members["p"].stack.layer("dedup").retransmissions >= 1
+    # No stability layer in this stack: the member's transport metrics
+    # report zeros for it.
+    assert members["p"].stack.layer("stability") is None
+    assert members["p"].metrics()["buffered"] == 0

@@ -28,7 +28,8 @@ def test_loss_is_repaired_via_nak():
     sim.run(until=10_000)
     for member in members.values():
         assert sorted(member.delivered_payloads()) == [f"m{i:02d}" for i in range(20)]
-    total_retransmissions = sum(m.transport.retransmissions for m in members.values())
+    total_retransmissions = sum(m.stack.layer("dedup").retransmissions
+                                for m in members.values())
     assert total_retransmissions > 0
 
 
@@ -48,8 +49,9 @@ def test_stability_trims_buffers():
         sim.call_at(float(i * 5), members["p0"].multicast, i)
     sim.run(until=5000)
     for member in members.values():
-        assert len(member.transport.buffer) == 0, member.pid
-        assert member.transport.peak_buffered > 0
+        stability = member.stack.layer("stability")
+        assert len(stability.buffer) == 0, member.pid
+        assert stability.peak_buffered > 0
 
 
 def test_buffers_grow_without_stability_gossip():
@@ -59,7 +61,8 @@ def test_buffers_grow_without_stability_gossip():
     for i in range(10):
         sim.call_at(float(i * 5), members["p2"].multicast, i)
     sim.run(until=2000)
-    assert all(len(m.transport.buffer) == 10 for m in members.values())
+    assert all(len(m.stack.layer("stability").buffer) == 10
+               for m in members.values())
 
 
 def test_repair_from_peer_when_sender_crashed():
@@ -112,8 +115,9 @@ def test_peer_retransmission_does_not_corrupt_stability_matrix():
     for observer in members.values():
         for subject in members.values():
             for sender in pids:
-                believed = observer.transport.matrix.row(subject.pid)[sender]
-                actual = subject.transport.contiguous[sender]
+                matrix = observer.stack.layer("stability").matrix
+                believed = matrix.row(subject.pid)[sender]
+                actual = subject.stack.layer("dedup").contiguous[sender]
                 assert believed <= actual, (observer.pid, subject.pid, sender)
 
 

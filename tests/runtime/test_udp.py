@@ -1,10 +1,9 @@
 """The unchanged protocol stack over real UDP loopback sockets.
 
-Mirrors the asyncio_rt suite, but every payload now crosses an OS socket
-through the wire codec — no Python references survive the trip.  Latencies
-are milliseconds; the assertions are protocol guarantees (causal order,
-total order, loss repair, partition semantics), which hold regardless of
-wall-clock scheduling noise.
+Every payload crosses an OS socket through the wire codec — no Python
+references survive the trip.  Latencies are milliseconds; the assertions
+are protocol guarantees (causal order, total order, loss repair, partition
+and crash semantics), which hold regardless of wall-clock scheduling noise.
 """
 
 import asyncio
@@ -118,6 +117,24 @@ def test_partition_blocks_and_heal_restores():
     assert "while-split" not in mid
     assert "while-split" in after
     assert stats.partitioned > 0
+
+
+def test_datagrams_to_a_crashed_member_are_counted_not_delivered():
+    async def scenario():
+        clock = AsyncioClock(seed=9)
+        net = UdpNetwork(clock, LinkModel(latency=0.002))
+        members = _build_group(clock, net, ["a", "b", "c"], "raw")
+        await net.start()
+        members["b"].crash()
+        clock.call_later(0.01, members["a"].multicast, "after-crash")
+        await run_for(0.3)
+        net.close()
+        return {pid: m.delivered_payloads() for pid, m in members.items()}, net.stats
+
+    delivered, stats = asyncio.run(scenario())
+    assert delivered["c"] == ["after-crash"]  # the live member still hears
+    assert delivered["b"] == []
+    assert stats.to_crashed > 0
 
 
 def test_deliveries_are_decoded_copies_not_references():

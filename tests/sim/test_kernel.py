@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 
@@ -140,7 +142,7 @@ def test_events_executed_counter():
     assert sim.events_executed == 5
 
 
-# -- free-list recycling (RECYCLE_REFS gate, see repro.sim.wheel) -----------------
+# -- free-list recycling (RECYCLE_REFS gate, see repro.sim.kernel) ----------------
 
 
 def _fire_n(sim, n, via):
@@ -155,9 +157,8 @@ def _fire_n(sim, n, via):
             pass
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
 @pytest.mark.parametrize("via", ["drain", "until", "step"])
-def test_unheld_events_are_recycled(scheduler, via):
+def test_unheld_events_are_recycled(via):
     # Pins RECYCLE_REFS to the actual call shape of every popping loop: if a
     # refactor adds or drops a binding around the check, recycling silently
     # stops matching and this test catches it.  CPython-only by design.
@@ -165,14 +166,13 @@ def test_unheld_events_are_recycled(scheduler, via):
 
     if not hasattr(sys, "getrefcount"):
         pytest.skip("refcount recycling is CPython-only")
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     _fire_n(sim, 8, via)
-    assert len(sim._freelist) > 0, (scheduler, via)
+    assert len(sim._freelist) > 0, via
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-def test_held_timer_handles_are_never_recycled(scheduler):
-    sim = Simulator(scheduler=scheduler)
+def test_held_timer_handles_are_never_recycled():
+    sim = Simulator()
     held = [sim.call_later(float(i), lambda: None) for i in range(5)]
     sim.run()
     assert all(timer not in sim._freelist for timer in held)
@@ -181,18 +181,14 @@ def test_held_timer_handles_are_never_recycled(scheduler):
     assert [timer.time for timer in held] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-def test_kernel_correct_with_recycling_disabled(scheduler, monkeypatch):
+def test_kernel_correct_with_recycling_disabled(monkeypatch):
     # The non-CPython fallback: live_refs returns a sentinel that never
     # matches RECYCLE_REFS, so events fall to the allocator and behaviour
     # is otherwise identical.
     import repro.sim.kernel as kernel_mod
-    import repro.sim.wheel as wheel_mod
 
-    stub = lambda obj: -1
-    monkeypatch.setattr(wheel_mod, "live_refs", stub)
-    monkeypatch.setattr(kernel_mod, "live_refs", stub)
-    sim = Simulator(scheduler=scheduler)
+    monkeypatch.setattr(kernel_mod, "live_refs", lambda obj: -1)
+    sim = Simulator()
     fired = []
     for i in range(6):
         sim.call_later(float(i), fired.append, i)
@@ -201,3 +197,192 @@ def test_kernel_correct_with_recycling_disabled(scheduler, monkeypatch):
         pass
     assert fired == [0, 1, 2, 3, 4, 5]
     assert sim._freelist == []
+
+
+# -- heap structure under stress ----------------------------------------------------
+
+
+def test_mass_cancellation_inside_callback_keeps_draining():
+    # A callback that cancels enough timers to trigger compaction while
+    # run() holds the heap in a local: events after the compaction point
+    # must still fire (regression guard for in-place compaction — a rebind
+    # would strand the drain loop on a stale list).
+    sim = Simulator()
+    doomed = [sim.call_later(500.0 + (i % 3), lambda: None) for i in range(300)]
+    fired = []
+
+    def massacre():
+        for timer in doomed:
+            timer.cancel()
+
+    sim.call_later(1.0, massacre)
+    sim.call_later(2.0, fired.append, "after")
+    sim.run()
+    assert fired == ["after"]
+    assert sim.pending == 0
+    assert sim.compactions > 0
+
+
+def test_stop_halts_the_fused_drain_and_resumes():
+    sim = Simulator()
+    fired = []
+    sim.call_later(1.0, fired.append, 1)
+    sim.call_later(2.0, sim.stop)
+    sim.call_later(3.0, fired.append, 3)
+    sim.run()
+    assert fired == [1]
+    assert sim.pending == 1
+    assert sim.now == 2.0
+    sim.run()
+    assert fired == [1, 3]
+
+
+def test_equal_times_fire_in_insertion_order_across_pushes():
+    # Two events at t=2000, the second pushed from inside a callback long
+    # after the first: the insertion counter, not heap position, decides.
+    sim = Simulator()
+    order = []
+    sim.call_later(2000.0, order.append, "a")
+    sim.call_later(1.0, lambda: sim.call_later(1999.0, order.append, "b"))
+    sim.run()
+    assert order == ["a", "b"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(["sched", "cancel", "step", "burst"]),
+                max_size=80))
+def test_kernel_conserves_events(ops):
+    """Every scheduled event is exactly one of executed, cancelled, pending,
+    with far-future delays mixed in (compaction and tombstone pops)."""
+    sim = Simulator()
+    fired = []
+    timers = []
+    scheduled = 0
+    cancelled = 0
+    for op in ops:
+        if op == "sched":
+            delay = float([0, 1, 3, 1200][len(timers) % 4])
+            timers.append(sim.call_later(delay, fired.append, None))
+            scheduled += 1
+        elif op == "cancel" and timers:
+            timer = timers.pop(0)
+            if timer.active:
+                timer.cancel()
+                cancelled += 1
+        elif op == "step":
+            sim.step()
+        elif op == "burst":
+            sim.run(max_events=3)
+        assert sim.pending + len(fired) + cancelled == scheduled
+        assert sim.queue_depth == sim.pending + sim.tombstones
+    sim.run()
+    assert sim.pending == 0
+    assert len(fired) + cancelled == scheduled
+    assert sim.events_executed == len(fired)
+
+
+# -- differential: the kernel against a sorted-list model ---------------------------
+
+#: Delays mixing zero, sub-unit, near and far-future events.
+_DELAYS = [0.0, 0.25, 1.0, 7.5, 900.0, 1500.0, 3000.0]
+
+
+class _ModelKernel:
+    """The kernel's contract as a sorted list of ``(time, seq)`` entries.
+
+    Deliberately naive — a linear scan for the minimum, cancellation by
+    removal — so it shares no structure with the heap it checks.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.executed = 0
+        self._seq = 0
+        self._entries = []  # [time, seq, fn, args], kept sorted
+
+    def call_later(self, delay, fn, *args):
+        entry = [self.now + delay, self._seq, fn, args]
+        self._seq += 1
+        self._entries.append(entry)
+        self._entries.sort(key=lambda e: (e[0], e[1]))
+        return entry
+
+    def cancel(self, entry):
+        if entry in self._entries:
+            self._entries.remove(entry)
+
+    @property
+    def pending(self):
+        return len(self._entries)
+
+    def step(self):
+        if not self._entries:
+            return False
+        time, _, fn, args = self._entries.pop(0)
+        self.now = time
+        self.executed += 1
+        fn(*args)
+        return True
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while self._entries:
+            if until is not None and self._entries[0][0] > until:
+                break
+            if max_events is not None and executed >= max_events:
+                break
+            self.step()
+            executed += 1
+        if until is not None and self.now < until:
+            if not self._entries or self._entries[0][0] > until:
+                self.now = until
+        return self.now
+
+
+def _run_program(kernel, cancel, ops):
+    """Drive one op list through ``kernel``; return the observable trace."""
+    trace = []
+    timers = []
+    counter = [0]
+
+    def fire(tag):
+        trace.append(("fire", tag, kernel.now))
+        # Every third firing schedules a follow-up, so execution order
+        # feeds back into the schedule (order bugs compound, not hide).
+        counter[0] += 1
+        if counter[0] % 3 == 0:
+            timers.append(kernel.call_later(2.5, fire, f"{tag}+"))
+
+    for op, value in ops:
+        if op == "sched":
+            delay = _DELAYS[value % len(_DELAYS)]
+            timers.append(kernel.call_later(delay, fire, len(timers)))
+        elif op == "cancel" and timers:
+            cancel(timers[value % len(timers)])
+        elif op == "step":
+            kernel.step()
+        elif op == "until":
+            # Fractional horizons, so a run can stop between two events.
+            kernel.run(until=kernel.now + (value % 200) * 0.25)
+        elif op == "burst":
+            kernel.run(until=kernel.now + (value % 7) * 100.0, max_events=value % 5)
+        trace.append(("state", kernel.now, kernel.pending))
+    kernel.run()
+    trace.append(("end", kernel.now, kernel.pending))
+    return trace, kernel.now
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(["sched", "cancel", "step", "until", "burst"]),
+              st.integers(min_value=0, max_value=10_000)),
+    max_size=60,
+))
+def test_kernel_matches_sorted_list_model(ops):
+    """Identical ``(time, seq)`` execution order, clock and live count after
+    every operation, for any sched/cancel/step/until/burst program."""
+    sim = Simulator(seed=7)
+    model = _ModelKernel()
+    got = _run_program(sim, lambda timer: timer.cancel(), ops)
+    want = _run_program(model, model.cancel, ops)
+    assert got == want

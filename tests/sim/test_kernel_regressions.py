@@ -8,6 +8,9 @@ Each test here failed against the seed kernel:
 - ``Timer.reschedule`` on a fired timer silently re-armed the callback.
 - ``Simulator.pending`` claimed to include cancelled tombstones but didn't,
   and cost O(queue) per call.
+- ``Simulator.run(until=...)`` set ``now = until`` even when ``stop()`` or
+  ``max_events`` cut the run short, so the next run fired a still-pending
+  event with the clock moving backwards.
 """
 
 import pytest
@@ -101,6 +104,44 @@ def test_run_until_ignores_tombstones_at_the_head():
     assert sim.now == 5.0
     sim.run()
     assert hits == ["late"]
+
+
+def test_stop_inside_bounded_run_does_not_jump_the_clock():
+    sim = Simulator()
+    fired = []
+    sim.call_at(1.0, sim.stop)
+    sim.call_at(5.0, lambda: fired.append(sim.now))
+    sim.run(until=10.0)
+    # Bug: now == 10.0 with the t=5 event still pending.
+    assert sim.now == 1.0
+    assert sim.pending == 1
+    sim.run()
+    assert fired == [5.0]
+    assert sim.now == 5.0
+
+
+def test_max_events_inside_bounded_run_does_not_jump_the_clock():
+    sim = Simulator()
+    fired = []
+    sim.call_at(1.0, fired.append, 1.0)
+    sim.call_at(5.0, lambda: fired.append(sim.now))
+    sim.run(until=10.0, max_events=1)
+    assert sim.now == 1.0
+    assert sim.pending == 1
+    sim.run()
+    assert fired == [1.0, 5.0]
+    assert sim.now == 5.0
+
+
+def test_bounded_run_cut_short_still_advances_past_a_later_event():
+    # The budget runs out, but the only event left lies beyond the horizon:
+    # nothing at or before `until` remains, so the clock does advance.
+    sim = Simulator()
+    sim.call_at(1.0, lambda: None)
+    sim.call_at(20.0, lambda: None)
+    sim.run(until=10.0, max_events=1)
+    assert sim.now == 10.0
+    assert sim.pending == 1
 
 
 @settings(max_examples=60, deadline=None)
