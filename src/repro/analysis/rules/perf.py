@@ -45,9 +45,9 @@ HOT_MODULE_PREFIXES: Tuple[str, ...] = (
 )
 
 #: Curated per-module manifest of hot functions (``Class.method`` or bare
-#: function qualnames).  These are the frames the bench ledger's gated
-#: numbers run through; a function can also opt in at the definition site
-#: with ``# repro: hot``.
+#: function qualnames).  These are the frames the ``sim-feed`` and
+#: ``udp-peers`` benchmark workloads run through; a function can also opt
+#: in at the definition site with ``# repro: hot``.
 HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro.sim.kernel": frozenset({
         "Simulator.step", "Simulator.run",
@@ -205,7 +205,8 @@ class SlotsRule(Rule):
     """PERF001: a class defined in a hot module without ``__slots__``.
 
     Every instance of a dict-backed class costs an extra allocation and a
-    pointer-chasing attribute load on the paths the bench ledger gates.
+    pointer-chasing attribute load on the paths the ``sim-feed`` and
+    ``udp-peers`` benchmark workloads time.
     The rule exempts classes whose bases it cannot see (imported bases may
     lack ``__slots__`` themselves, which would make a local declaration
     cosmetic) and classes whose *local* base is already dict-backed (the

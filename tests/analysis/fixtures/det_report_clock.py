@@ -2,7 +2,7 @@
 schema'd report payload.
 
 The call itself is the usual error (this module is outside the
-bench/runtime allowlist); the flow into a *non-timing* report field is
+runtime allowlist); the flow into a *non-timing* report field is
 the additional warning.  Timing keys (``created_at``) and schema-less
 dicts stay clean.
 """

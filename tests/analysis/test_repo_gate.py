@@ -66,3 +66,22 @@ def test_no_determinism_findings_grandfathered():
         and f.rule_id.startswith(("DET", "PUR"))
     ]
     assert hard == [], "\n".join(f.render() for f in hard)
+
+
+def test_rule_allowlists_name_live_modules():
+    """Every module prefix a rule exempts or targets must still exist, so an
+    allowlist cannot outlive the code it was written for."""
+    from repro.analysis.rules.determinism import RANDOM_ALLOWED, WALL_CLOCK_ALLOWED
+    from repro.analysis.rules.ordering import SUBSTRATE_PREFIXES
+    from repro.analysis.rules.perf import HOT_MODULE_PREFIXES
+
+    src = REPO_ROOT / "src"
+    prefixes = (WALL_CLOCK_ALLOWED + RANDOM_ALLOWED + SUBSTRATE_PREFIXES
+                + HOT_MODULE_PREFIXES)
+    missing = []
+    for prefix in prefixes:
+        path = src.joinpath(*prefix.split("."))
+        if not (path.with_suffix(".py").is_file()
+                or (path / "__init__.py").is_file()):
+            missing.append(prefix)
+    assert missing == [], f"allowlisted prefixes with no module: {missing}"
